@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/trace.hpp"
 
@@ -12,10 +10,6 @@ namespace asrel::infer {
 namespace {
 
 using asn::Asn;
-
-std::uint64_t directed_key(Asn a, Asn b) {
-  return (std::uint64_t{a.value()} << 32) | b.value();
-}
 
 AsRankResult run_impl(const ObservedPaths& observed,
                       const AsRankParams& params,
@@ -28,57 +22,87 @@ AsRankResult run_impl(const ObservedPaths& observed,
   } else {
     result.clique.assign(clique_override.begin(), clique_override.end());
   }
-  std::unordered_set<Asn> clique_set(result.clique.begin(),
-                                     result.clique.end());
+  std::vector<bool> clique_set(observed.as_count(), false);
+  for (const Asn member : result.clique) {
+    if (const auto index = observed.index_of(member)) clique_set[*index] = true;
+  }
 
-  // Directed provider->customer evidence. `inferred` holds pairs accepted
+  // Everything below is indexed by hop entry (DESIGN.md, "Dense ids of the
+  // observed view"): entry e = link_id << 1 | forward names the directed pair
+  // a hop traverses, and e ^ 1 its reverse. One state byte per directed
+  // pair keeps what a sweep reads next to what it writes.
+  //
+  // Directed provider->customer evidence: `kInferred` marks pairs accepted
   // as descents (continuation triggers); `votes` counts supporting path
   // positions for majority resolution. A pair inferred in *both* directions
   // (siblings, mutual-transit artifacts) is ambiguous and must never act as
   // a descent trigger: treating it as one lets an ascending occurrence start
   // a bogus descent that cascades up entire provider chains.
-  std::unordered_set<std::uint64_t> inferred;
-  std::unordered_map<std::uint64_t, std::uint32_t> votes;
+  constexpr std::uint8_t kInferred = 1;
+  constexpr std::uint8_t kFromClique = 2;  // the pair starts at a member
+  constexpr std::uint8_t kToClique = 4;    // the pair ends at a member
+  constexpr std::uint8_t kCliquePair = kFromClique | kToClique;
+  const std::size_t link_count = observed.link_count();
+  std::vector<std::uint8_t> state(2 * link_count, 0);
+  for (std::uint32_t id = 0; id < link_count; ++id) {
+    const LinkEnds& ends = observed.link_ends(id);
+    const bool a = clique_set[ends.a];
+    const bool b = clique_set[ends.b];
+    state[id << 1 | 1] =  // a -> b
+        static_cast<std::uint8_t>((a ? kFromClique : 0) | (b ? kToClique : 0));
+    state[id << 1] =  // b -> a
+        static_cast<std::uint8_t>((b ? kFromClique : 0) | (a ? kToClique : 0));
+  }
+  std::vector<std::uint32_t> votes(2 * link_count, 0);
 
-  const auto trigger_ok = [&](Asn x, Asn y) {
-    return inferred.contains(directed_key(x, y)) &&
-           !inferred.contains(directed_key(y, x));
+  // Full runs sweep every path in order; subset runs sweep `path_ids`.
+  const auto for_each_path = [&](auto&& visit) {
+    if (subset_mode) {
+      for (const std::uint32_t p : path_ids) visit(p);
+    } else {
+      const auto count = static_cast<std::uint32_t>(observed.path_count());
+      for (std::uint32_t p = 0; p < count; ++p) visit(p);
+    }
   };
 
-  // One sweep over the paths. Always extends `inferred`; only counts votes
-  // when `record` is set (the final sweep, once the trigger set is stable
-  // and self-consistent — early sweeps can contain transient bad triggers).
+  // One sweep over the paths. Always extends the inferred set; only counts
+  // votes when `record` is set (the final sweep, once the trigger set is
+  // stable and self-consistent — early sweeps can contain transient bad
+  // triggers). The sweep is Gauss-Seidel: a pair inferred early in the
+  // sweep already triggers (or, inferred in reverse, disarms) descents later
+  // in the same sweep, so the path order is part of the result.
   const auto descent_pass = [&](bool record) {
-    const std::size_t before = inferred.size();
-    for (const std::uint32_t p : path_ids) {
-      const auto path = observed.path(p);
+    std::size_t newly_inferred = 0;
+    for_each_path([&](std::uint32_t p) {
       bool descending = false;
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const Asn x = path[i];
-        const Asn y = path[i + 1];
+      for (const std::uint32_t hop : observed.hops(p)) {
+        const std::uint8_t pair = state[hop];
         if (descending) {
           // Consistency guard: no valley-free descent ever enters a clique
           // member (it is provider-free). Hitting one means the descent was
           // started by a bad trigger — abandon it instead of voting
           // "x provides a Tier-1" and cascading garbage.
-          if (clique_set.contains(y)) {
+          if ((pair & kToClique) != 0) {
             descending = false;
             continue;
           }
-          inferred.insert(directed_key(x, y));
-          if (record) ++votes[directed_key(x, y)];
+          if ((pair & kInferred) == 0) {
+            state[hop] = pair | kInferred;
+            ++newly_inferred;
+          }
+          if (record) ++votes[hop];
           continue;
         }
-        if (clique_set.contains(x) && clique_set.contains(y)) {
+        if ((pair & kCliquePair) == kCliquePair) {
           descending = true;  // peak crossed; votes start at the next pair
           continue;
         }
-        if (trigger_ok(x, y)) {
+        if ((pair & kInferred) != 0 && (state[hop ^ 1] & kInferred) == 0) {
           descending = true;  // known descent continues after this pair
         }
       }
-    }
-    return inferred.size() != before;
+    });
+    return newly_inferred != 0;
   };
 
   // ---- Step 4: clique-pair seeded descents, to a fixpoint ----------------
@@ -88,55 +112,59 @@ AsRankResult run_impl(const ObservedPaths& observed,
   }
   result.passes_used = pass + 1;
 
+  const double widely_seen_vps =
+      params.stub_provider_vp_share * static_cast<double>(observed.vp_count());
+
   // ---- Step 5: dominant peaks of clique-free paths -----------------------
   {
     bool seeded = false;
-    for (const std::uint32_t p : path_ids) {
-      const auto path = observed.path(p);
-      if (path.size() < 3) continue;
+    for_each_path([&](std::uint32_t p) {
+      const auto hops = observed.hops(p);
+      if (hops.size() < 2) return;
       bool touches_clique = false;
-      for (const Asn hop : path) {
-        if (clique_set.contains(hop)) {
+      for (const std::uint32_t hop : hops) {
+        if ((state[hop] & kCliquePair) != 0) {
           touches_clique = true;
           break;
         }
       }
-      if (touches_clique) continue;
+      if (touches_clique) return;
 
+      // The peak is the first position of maximal transit degree; position
+      // k > 0 is the far end of hop k - 1.
       std::size_t peak = 0;
-      std::uint32_t peak_td = 0;
-      for (std::size_t i = 0; i < path.size(); ++i) {
-        const auto index = observed.index_of(path[i]);
-        const std::uint32_t td = index ? observed.transit_degree(*index) : 0;
+      std::uint32_t peak_td =
+          observed.transit_degree(observed.hop_from(hops[0]));
+      for (std::size_t k = 0; k < hops.size(); ++k) {
+        const std::uint32_t td =
+            observed.transit_degree(observed.hop_to(hops[k]));
         if (td > peak_td) {
           peak_td = td;
-          peak = i;
+          peak = k + 1;
         }
       }
-      if (peak + 1 >= path.size()) continue;
-      if (peak_td < params.peak_min_transit_degree) continue;
-      const auto right = observed.index_of(path[peak + 1]);
+      if (peak >= hops.size()) return;
+      if (peak_td < params.peak_min_transit_degree) return;
       const std::uint32_t right_td =
-          right ? observed.transit_degree(*right) : 0;
+          observed.transit_degree(observed.hop_to(hops[peak]));
       if (static_cast<double>(peak_td) <
           params.peak_degree_ratio * std::max(1u, right_td)) {
-        continue;
+        return;
       }
       // Visibility gate: a transit link below a peak is seen by most
       // collectors; a peering link is only seen from inside the peak's
       // customer cone. Without this, IXP peers of regional transits would
       // be swallowed as customers.
-      const auto* info = observed.link(AsLink{path[peak], path[peak + 1]});
-      if (info == nullptr ||
-          static_cast<double>(info->vp_count) <
-              params.stub_provider_vp_share *
-                  static_cast<double>(observed.vp_count())) {
-        continue;
+      const std::uint32_t hop = hops[peak];
+      if (static_cast<double>(
+              observed.link_info(ObservedPaths::hop_link(hop)).vp_count) <
+          widely_seen_vps) {
+        return;
       }
-      inferred.insert(directed_key(path[peak], path[peak + 1]));
-      ++votes[directed_key(path[peak], path[peak + 1])];
+      state[hop] |= kInferred;
+      ++votes[hop];
       seeded = true;
-    }
+    });
     if (seeded) {
       for (int extra = 0; extra < params.max_passes; ++extra) {
         if (!descent_pass(/*record=*/false)) break;
@@ -152,66 +180,74 @@ AsRankResult run_impl(const ObservedPaths& observed,
   // it: a (near) full table marks a provider, a small slice marks a peer
   // announcing only its own cone (Luckie et al. classify collector-peer
   // sessions the same way). Customer sessions are left to the descent votes.
-  std::unordered_set<std::uint64_t> vp_peer_links;
+  // No sweep follows, so this step adds votes and peer marks only, without
+  // growing the inferred set. Step 7 reads them for observed links alone,
+  // so a (neighbor, VP) pair that is not an observed link is skipped.
+  std::vector<bool> vp_peer_links(subset_mode ? 0 : link_count, false);
   if (!subset_mode) {
     for (std::uint16_t vp = 0; vp < observed.vp_count(); ++vp) {
       const Asn vp_asn = observed.vp_asns()[vp];
       const std::uint32_t origins = observed.origin_count(vp);
-      if (origins == 0 || clique_set.contains(vp_asn)) continue;
+      if (origins == 0) continue;
       const auto vp_index = observed.index_of(vp_asn);
-      if (!vp_index) continue;
-      for (const Asn neighbor : observed.ases()) {
+      if (!vp_index || clique_set[*vp_index]) continue;
+      for (const FirstHop& first : observed.first_hops(vp)) {
         // Clique neighbors are judged by triplet evidence only: a Tier-1
         // peer's customer cone can rival a backup provider's selected share,
         // so feed size cannot separate the two.
-        if (clique_set.contains(neighbor)) continue;
-        const std::uint32_t covered = observed.first_hop_count(vp, neighbor);
-        if (covered < params.vp_min_first_hops) continue;
+        if (clique_set[first.neighbor]) continue;
+        if (first.count < params.vp_min_first_hops) continue;
+        const Asn neighbor = observed.asn_at(first.neighbor);
+        const auto* info = observed.link(AsLink{vp_asn, neighbor});
+        if (info == nullptr) continue;
         const double share =
-            static_cast<double>(covered) / static_cast<double>(origins);
+            static_cast<double>(first.count) / static_cast<double>(origins);
         if (share >= params.vp_full_table_share) {
-          inferred.insert(directed_key(neighbor, vp_asn));
-          votes[directed_key(neighbor, vp_asn)] += 2;  // full table: provider
+          // neighbor -> VP: forward iff the neighbor is the link's `a` end.
+          const std::uint32_t hop =
+              info->link_id << 1 | (neighbor < vp_asn ? 1U : 0U);
+          votes[hop] += 2;  // full table: provider
         } else if (share <= params.vp_peer_max_share) {
-          const AsLink link{vp_asn, neighbor};
-          vp_peer_links.insert(
-              (std::uint64_t{link.a.value()} << 32) | link.b.value());
+          vp_peer_links[info->link_id] = true;
         }
       }
     }
   }
 
   // ---- Step 7: per-link resolution ----------------------------------------
-  // Subset runs label only the links their paths actually contain.
-  std::vector<AsLink> scope;
+  // Subset runs label only the links their paths actually contain, in
+  // first-seen order over their paths.
+  std::vector<std::uint32_t> scope;
   if (subset_mode) {
-    std::unordered_set<AsLink> seen;
+    std::vector<bool> seen(link_count, false);
     for (const std::uint32_t p : path_ids) {
-      const auto path = observed.path(p);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const AsLink link{path[i], path[i + 1]};
-        if (seen.insert(link).second) scope.push_back(link);
+      for (const std::uint32_t hop : observed.hops(p)) {
+        const std::uint32_t id = ObservedPaths::hop_link(hop);
+        if (!seen[id]) {
+          seen[id] = true;
+          scope.push_back(id);
+        }
       }
     }
   } else {
-    scope.assign(observed.link_order().begin(), observed.link_order().end());
+    scope.resize(link_count);
+    std::iota(scope.begin(), scope.end(), 0u);
   }
 
-  for (const auto& link : scope) {
+  const auto links = observed.link_order();
+  for (const std::uint32_t id : scope) {
+    const AsLink& link = links[id];
+    const LinkEnds& ends = observed.link_ends(id);
     InferredRel rel;
-    const bool a_clique = clique_set.contains(link.a);
-    const bool b_clique = clique_set.contains(link.b);
+    const bool a_clique = clique_set[ends.a];
+    const bool b_clique = clique_set[ends.b];
     if (a_clique && b_clique) {
       rel.rel = topo::RelType::kP2P;
       result.inference.set(link, rel);
       continue;
     }
-    const auto count_votes = [&](Asn from, Asn to) {
-      const auto it = votes.find(directed_key(from, to));
-      return it == votes.end() ? 0u : it->second;
-    };
-    const std::uint32_t va = count_votes(link.a, link.b);
-    const std::uint32_t vb = count_votes(link.b, link.a);
+    const std::uint32_t va = votes[id << 1 | 1];  // a -> b
+    const std::uint32_t vb = votes[id << 1];      // b -> a
     if (va > vb) {
       rel.rel = topo::RelType::kP2C;
       rel.provider = link.a;
@@ -220,21 +256,15 @@ AsRankResult run_impl(const ObservedPaths& observed,
       rel.provider = link.b;
     } else if (va > 0) {
       rel.rel = topo::RelType::kP2P;  // perfectly conflicting evidence
-    } else if (vp_peer_links.contains(
-                   (std::uint64_t{link.a.value()} << 32) | link.b.value())) {
+    } else if (!subset_mode && vp_peer_links[id]) {
       rel.rel = topo::RelType::kP2P;  // small feed into a collector peer
     } else {
       // No votes at all.
-      const auto ia = observed.index_of(link.a);
-      const auto ib = observed.index_of(link.b);
-      const std::uint32_t ta = ia ? observed.transit_degree(*ia) : 0;
-      const std::uint32_t tb = ib ? observed.transit_degree(*ib) : 0;
-      const auto* info = observed.link(link);
+      const std::uint32_t ta = observed.transit_degree(ends.a);
+      const std::uint32_t tb = observed.transit_degree(ends.b);
       const bool widely_seen =
-          info != nullptr &&
-          static_cast<double>(info->vp_count) >=
-              params.stub_provider_vp_share *
-                  static_cast<double>(observed.vp_count());
+          static_cast<double>(observed.link_info(id).vp_count) >=
+          widely_seen_vps;
       if ((a_clique && tb <= params.clique_customer_td_max) ||
           (b_clique && ta <= params.clique_customer_td_max)) {
         // Clique-adjacent small AS: assumed customer. This is precisely the
@@ -261,9 +291,7 @@ AsRankResult run_impl(const ObservedPaths& observed,
 AsRankResult run_asrank(const ObservedPaths& observed,
                         const AsRankParams& params) {
   obs::StageScope stage{"infer.asrank"};
-  std::vector<std::uint32_t> all(observed.path_count());
-  std::iota(all.begin(), all.end(), 0u);
-  return run_impl(observed, params, all, {}, /*subset_mode=*/false);
+  return run_impl(observed, params, {}, {}, /*subset_mode=*/false);
 }
 
 AsRankResult run_asrank_subset(const ObservedPaths& observed,

@@ -44,7 +44,8 @@ struct AsRankParams {
   /// A first-hop neighbor covering no more than this share announces only
   /// its own cone: a peer of the VP (unless descent votes say otherwise).
   double vp_peer_max_share = 0.05;
-  /// Noise floor: ignore first-hop neighbors seen for fewer origins.
+  /// Noise floor: ignore first-hop neighbors seen for fewer origins. ASes
+  /// never seen as a VP's first hop are not judged by step 6 at all.
   std::uint32_t vp_min_first_hops = 3;
   /// Unvoted clique-adjacent links: the non-clique side is inferred to be a
   /// customer when its transit degree is below this bound (this is the rule

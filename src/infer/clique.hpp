@@ -11,6 +11,8 @@
 
 namespace asrel::infer {
 
+/// The search keeps a triplet table over the top max(seed_pool,
+/// extension_pool) ranks: 4 bytes per entry, ~844 KiB for the defaults.
 struct CliqueParams {
   std::size_t seed_pool = 14;      ///< BK runs on the top-N by transit degree
   std::size_t extension_pool = 60; ///< ranks considered for greedy extension

@@ -1,7 +1,7 @@
 #include "infer/observed.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 namespace asrel::infer {
 
@@ -9,13 +9,80 @@ namespace {
 
 using asn::Asn;
 
-/// Inserts into a sorted vector iff absent; returns true when inserted.
-template <typename T>
-bool insert_sorted_unique(std::vector<T>& values, const T& value) {
-  const auto it = std::lower_bound(values.begin(), values.end(), value);
-  if (it != values.end() && *it == value) return false;
-  values.insert(it, value);
-  return true;
+/// Open-addressing (linear probing) map from 64-bit keys to u32 values for
+/// the per-hop interning loop, where std::unordered_map's node allocations
+/// and bucket chains cost more than the work itself. `kEmpty` is never a
+/// valid key: link keys pack two distinct 32-bit ASNs, first-hop keys a
+/// 16-bit VP index.
+class FlatIndex {
+ public:
+  FlatIndex() { rehash(std::size_t{1} << 10); }
+
+  /// The value stored under `key`; inserts `fresh` first when absent.
+  std::uint32_t& find_or_insert(std::uint64_t key, std::uint32_t fresh,
+                                bool& inserted) {
+    if (2 * (size_ + 1) > slots_.size()) rehash(slots_.size() * 2);
+    std::size_t index = index_of(key);
+    while (slots_[index].key != kEmpty) {
+      if (slots_[index].key == key) {
+        inserted = false;
+        return slots_[index].value;
+      }
+      index = (index + 1) & mask_;
+    }
+    slots_[index] = Slot{key, fresh};
+    ++size_;
+    inserted = true;
+    return slots_[index].value;
+  }
+
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const Slot& slot : slots_) {
+      if (slot.key != kEmpty) visit(slot.key, slot.value);
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  // Key and value share a slot, so a probe touches one cache line.
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint32_t value = 0;
+  };
+
+  std::size_t index_of(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void rehash(std::size_t capacity) {
+    std::vector<Slot> old(capacity);
+    old.swap(slots_);
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    size_ = 0;
+    bool inserted = false;
+    for (const Slot& slot : old) {
+      if (slot.key != kEmpty) find_or_insert(slot.key, slot.value, inserted);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+/// True when some AS occurs twice in `hops` (prepending already collapsed).
+/// Quadratic, which beats hashing for the few hops a path has.
+bool has_loop(std::span<const Asn> hops) {
+  for (std::size_t i = 1; i < hops.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (hops[i] == hops[j]) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -28,103 +95,145 @@ ObservedPaths ObservedPaths::build(const bgp::PathTable& table,
   const auto vps = table.vantage_points();
   out.vp_asns_.reserve(vps.size());
   for (const auto& vp : vps) out.vp_asns_.push_back(vp.asn);
-  out.first_hop_.resize(vps.size());
   out.origins_per_vp_.assign(vps.size(), 0);
 
-  // Pass 1: sanitize and store paths; collect the AS universe.
-  std::unordered_set<Asn> as_set;
+  // Reserving the input's size up front keeps the arenas from doubling
+  // (and copying) while they fill; capacity beyond the kept hops is never
+  // touched, so it costs address space, not resident memory.
+  std::size_t input_positions = 0;
+  table.for_each_path([&](const bgp::PathTable::PathRef& ref) {
+    input_positions += ref.path.size();
+  });
+  out.arena_.reserve(input_positions);
+  out.hops_.reserve(input_positions);
+  out.offsets_.reserve(table.path_count() + 1);
+  out.path_vp_.reserve(table.path_count());
+
+  // One pass: sanitize, store the path, and intern its links. Per link:
+  // occurrences, a VP bitmap (distinct VPs), and one "middle of a path" bit
+  // per side (bit 0: the `a` end had a neighbor on both sides, bit 1: the
+  // `b` end), from which transit degrees follow.
+  const std::size_t vp_words = (vps.size() + 63) / 64;
+  FlatIndex link_ids;
+  FlatIndex first_hop_counts;  // vp << 32 | neighbor ASN -> paths
+  std::vector<std::uint32_t> occurrences;
+  std::vector<std::uint64_t> link_vps;
+  std::vector<std::uint8_t> middle;
+  std::vector<Asn> lone_ases;  // ASes of single-AS paths
   std::vector<Asn> hops;
-  std::unordered_set<Asn> seen_in_path;
+  bool inserted = false;
   table.for_each_path([&](const bgp::PathTable::PathRef& ref) {
     ++local.input_paths;
     hops.clear();
     for (const Asn hop : ref.path) {
       if (hops.empty() || hops.back() != hop) hops.push_back(hop);
     }
-    bool reserved = false;
-    for (const Asn hop : hops) {
-      if (asn::is_reserved(hop)) {
-        reserved = true;
-        break;
-      }
+    if (hops.empty()) {
+      ++local.dropped_empty;
+      return;
     }
-    if (reserved) {
+    if (std::any_of(hops.begin(), hops.end(),
+                    [](Asn hop) { return asn::is_reserved(hop); })) {
       ++local.dropped_reserved;
       return;
     }
-    seen_in_path.clear();
-    for (const Asn hop : hops) {
-      if (!seen_in_path.insert(hop).second) {
-        ++local.dropped_loop;
-        return;
-      }
+    if (has_loop(hops)) {
+      ++local.dropped_loop;
+      return;
     }
     ++local.kept;
+    const auto vp = static_cast<std::uint16_t>(ref.vp_index);
     out.arena_.insert(out.arena_.end(), hops.begin(), hops.end());
     out.offsets_.push_back(static_cast<std::uint32_t>(out.arena_.size()));
-    out.path_vp_.push_back(static_cast<std::uint16_t>(ref.vp_index));
-    for (const Asn hop : hops) as_set.insert(hop);
-
-    // VP first-hop statistics.
-    if (hops.size() >= 2) {
-      ++out.first_hop_[ref.vp_index][hops[1]];
+    out.path_vp_.push_back(vp);
+    ++out.origins_per_vp_[vp];
+    if (hops.size() == 1) {
+      lone_ases.push_back(hops[0]);
+      return;
     }
-    ++out.origins_per_vp_[ref.vp_index];
+    ++first_hop_counts.find_or_insert(
+        std::uint64_t{vp} << 32 | hops[1].value(), 0, inserted);
+
+    const std::size_t last = hops.size() - 1;
+    for (std::size_t k = 0; k < last; ++k) {
+      const Asn x = hops[k];
+      const Asn y = hops[k + 1];
+      const bool forward = x < y;
+      const std::uint64_t key =
+          forward ? std::uint64_t{x.value()} << 32 | y.value()
+                  : std::uint64_t{y.value()} << 32 | x.value();
+      const std::uint32_t id = link_ids.find_or_insert(
+          key, static_cast<std::uint32_t>(out.link_order_.size()), inserted);
+      if (inserted) {
+        out.link_order_.emplace_back(x, y);
+        occurrences.push_back(0);
+        middle.push_back(0);
+        link_vps.resize(link_vps.size() + vp_words);
+      }
+      ++occurrences[id];
+      link_vps[id * vp_words + vp / 64] |= std::uint64_t{1} << (vp % 64);
+      if (k > 0) middle[id] |= forward ? 1 : 2;         // x is in the middle
+      if (k + 1 < last) middle[id] |= forward ? 2 : 1;  // y is in the middle
+      out.hops_.push_back(id << 1 | (forward ? 1U : 0U));
+    }
   });
 
-  out.ases_.assign(as_set.begin(), as_set.end());
+  // The AS universe: every link end and every AS of a single-AS path.
+  out.ases_ = std::move(lone_ases);
+  out.ases_.reserve(out.ases_.size() + 2 * out.link_order_.size());
+  for (const AsLink& link : out.link_order_) {
+    out.ases_.push_back(link.a);
+    out.ases_.push_back(link.b);
+  }
   std::sort(out.ases_.begin(), out.ases_.end());
+  out.ases_.erase(std::unique(out.ases_.begin(), out.ases_.end()),
+                  out.ases_.end());
+  out.ases_.shrink_to_fit();
   const auto index_of = [&](Asn asn) {
     return static_cast<AsIndex>(
         std::lower_bound(out.ases_.begin(), out.ases_.end(), asn) -
         out.ases_.begin());
   };
 
-  // Pass 2: degrees, transit degrees, link statistics.
+  // Per-link tables; degrees follow from the link list, since every
+  // distinct neighbor pair is exactly one link.
   const std::size_t n = out.ases_.size();
-  std::vector<std::vector<AsIndex>> neighbor_sets(n);
-  std::vector<std::vector<AsIndex>> transit_sets(n);
-  std::vector<std::vector<std::uint16_t>> link_vps;
-
-  for (std::size_t p = 0; p < out.path_count(); ++p) {
-    const auto path = out.path(p);
-    const std::uint16_t vp = out.path_vp_[p];
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const AsIndex a = index_of(path[i]);
-      const AsIndex b = index_of(path[i + 1]);
-      insert_sorted_unique(neighbor_sets[a], b);
-      insert_sorted_unique(neighbor_sets[b], a);
-      if (i + 2 < path.size()) {
-        const AsIndex c = index_of(path[i + 2]);
-        insert_sorted_unique(transit_sets[b], a);
-        insert_sorted_unique(transit_sets[b], c);
-      }
-      const AsLink link{path[i], path[i + 1]};
-      auto [it, inserted] = out.links_.try_emplace(link);
-      if (inserted) {
-        it->second.link_id = static_cast<std::uint32_t>(out.link_order_.size());
-        out.link_order_.push_back(link);
-        link_vps.emplace_back();
-      }
-      ++it->second.occurrences;
-      auto& vps_of_link = link_vps[it->second.link_id];
-      const auto pos =
-          std::lower_bound(vps_of_link.begin(), vps_of_link.end(), vp);
-      if (pos == vps_of_link.end() || *pos != vp) {
-        vps_of_link.insert(pos, vp);
-      }
+  const std::size_t link_count = out.link_order_.size();
+  out.node_degree_.assign(n, 0);
+  out.transit_degree_.assign(n, 0);
+  out.link_ends_.resize(link_count);
+  out.link_info_.resize(link_count);
+  out.links_.reserve(link_count);
+  for (std::uint32_t id = 0; id < link_count; ++id) {
+    const AsLink& link = out.link_order_[id];
+    LinkEnds& ends = out.link_ends_[id];
+    ends.a = index_of(link.a);
+    ends.b = index_of(link.b);
+    ++out.node_degree_[ends.a];
+    ++out.node_degree_[ends.b];
+    if ((middle[id] & 1) != 0) ++out.transit_degree_[ends.a];
+    if ((middle[id] & 2) != 0) ++out.transit_degree_[ends.b];
+    int vp_count = 0;
+    for (std::size_t w = 0; w < vp_words; ++w) {
+      vp_count += std::popcount(link_vps[id * vp_words + w]);
     }
-  }
-  for (auto& [link, info] : out.links_) {
-    info.vp_count = static_cast<std::uint16_t>(link_vps[info.link_id].size());
+    LinkInfo& info = out.link_info_[id];
+    info.link_id = id;
+    info.occurrences = occurrences[id];
+    info.vp_count = static_cast<std::uint16_t>(vp_count);
+    out.links_.emplace(link, info);
   }
 
-  out.node_degree_.resize(n);
-  out.transit_degree_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.node_degree_[i] = static_cast<std::uint32_t>(neighbor_sets[i].size());
-    out.transit_degree_[i] =
-        static_cast<std::uint32_t>(transit_sets[i].size());
+  out.first_hops_.resize(vps.size());
+  first_hop_counts.for_each([&](std::uint64_t key, std::uint32_t count) {
+    out.first_hops_[key >> 32].push_back(
+        FirstHop{index_of(Asn{static_cast<std::uint32_t>(key)}), count});
+  });
+  for (auto& list : out.first_hops_) {
+    std::sort(list.begin(), list.end(),
+              [](const FirstHop& x, const FirstHop& y) {
+                return x.neighbor < y.neighbor;
+              });
   }
 
   out.rank_.resize(n);
@@ -156,9 +265,13 @@ const LinkInfo* ObservedPaths::link(const AsLink& link) const {
 
 std::uint32_t ObservedPaths::first_hop_count(std::uint16_t vp,
                                              asn::Asn neighbor) const {
-  const auto& map = first_hop_[vp];
-  const auto it = map.find(neighbor);
-  return it == map.end() ? 0 : it->second;
+  const auto index = index_of(neighbor);
+  if (!index) return 0;
+  const auto& list = first_hops_[vp];
+  const auto it = std::lower_bound(
+      list.begin(), list.end(), *index,
+      [](const FirstHop& hop, AsIndex value) { return hop.neighbor < value; });
+  return it == list.end() || it->neighbor != *index ? 0 : it->count;
 }
 
 std::uint32_t ObservedPaths::origin_count(std::uint16_t vp) const {

@@ -23,6 +23,7 @@ struct SanitizeStats {
   std::size_t input_paths = 0;
   std::size_t dropped_loop = 0;
   std::size_t dropped_reserved = 0;  ///< AS_TRANS / private / documentation
+  std::size_t dropped_empty = 0;     ///< paths without a single AS
   std::size_t kept = 0;
 };
 
@@ -35,6 +36,31 @@ struct LinkInfo {
   std::uint32_t occurrences = 0;  ///< path positions where the link appears
   std::uint16_t vp_count = 0;     ///< distinct VPs that observed the link
 };
+
+/// Dense endpoints of a link: `a` is the AsIndex of `link_order()[id].a`
+/// (the smaller ASN), `b` that of `.b`. Since AsIndex ascends with the ASN,
+/// `a < b` always holds.
+struct LinkEnds {
+  AsIndex a = kNoAs;
+  AsIndex b = kNoAs;
+};
+
+/// One first-hop neighbor of a vantage point and the number of kept paths
+/// of that VP that leave through it.
+struct FirstHop {
+  AsIndex neighbor = kNoAs;
+  std::uint32_t count = 0;
+};
+
+// Dense ids (DESIGN.md, "Dense ids of the observed view"):
+//  * AsIndex numbers the observed ASes in ascending ASN order.
+//  * link_id numbers the links in first-seen order: kept paths in
+//    for_each_path order, hops of a path left to right.
+//  * Hop k of path p (joining path(p)[k] and path(p)[k+1]) is stored as one
+//    u32, `link_id << 1 | forward`, where forward means path(p)[k] is the
+//    link's `a` end. The entry doubles as the index of the *directed* pair
+//    (path(p)[k] -> path(p)[k+1]) over 2 x link_count(); `entry ^ 1` is the
+//    reverse direction.
 
 class ObservedPaths {
  public:
@@ -53,6 +79,28 @@ class ObservedPaths {
   }
   [[nodiscard]] std::uint16_t vp_of_path(std::size_t i) const {
     return path_vp_[i];
+  }
+  /// Hop entries of path i, one per adjacent pair: path(i).size() - 1 of
+  /// them. Kept paths are never empty, so hop k of path i sits at arena
+  /// position offsets[i] - i + k.
+  [[nodiscard]] std::span<const std::uint32_t> hops(std::size_t i) const {
+    return std::span{hops_}.subspan(offsets_[i] - i,
+                                    offsets_[i + 1] - offsets_[i] - 1);
+  }
+  [[nodiscard]] static std::uint32_t hop_link(std::uint32_t hop) {
+    return hop >> 1;
+  }
+  [[nodiscard]] static bool hop_forward(std::uint32_t hop) {
+    return (hop & 1U) != 0;
+  }
+  /// AsIndex of the AS a hop leaves from / arrives at.
+  [[nodiscard]] AsIndex hop_from(std::uint32_t hop) const {
+    const LinkEnds& ends = link_ends_[hop >> 1];
+    return hop_forward(hop) ? ends.a : ends.b;
+  }
+  [[nodiscard]] AsIndex hop_to(std::uint32_t hop) const {
+    const LinkEnds& ends = link_ends_[hop >> 1];
+    return hop_forward(hop) ? ends.b : ends.a;
   }
 
   // ---- AS universe ----
@@ -85,6 +133,12 @@ class ObservedPaths {
   [[nodiscard]] std::span<const AsLink> link_order() const {
     return link_order_;
   }
+  [[nodiscard]] const LinkEnds& link_ends(std::uint32_t link_id) const {
+    return link_ends_[link_id];
+  }
+  [[nodiscard]] const LinkInfo& link_info(std::uint32_t link_id) const {
+    return link_info_[link_id];
+  }
 
   // ---- vantage points ----
   [[nodiscard]] std::span<const asn::Asn> vp_asns() const { return vp_asns_; }
@@ -95,11 +149,16 @@ class ObservedPaths {
   [[nodiscard]] std::uint32_t first_hop_count(std::uint16_t vp,
                                               asn::Asn neighbor) const;
   [[nodiscard]] std::uint32_t origin_count(std::uint16_t vp) const;
+  /// Every first-hop neighbor of `vp`, ascending AsIndex.
+  [[nodiscard]] std::span<const FirstHop> first_hops(std::uint16_t vp) const {
+    return first_hops_[vp];
+  }
 
  private:
   std::vector<asn::Asn> arena_;
   std::vector<std::uint32_t> offsets_{0};
   std::vector<std::uint16_t> path_vp_;
+  std::vector<std::uint32_t> hops_;  // link_id << 1 | forward, per hop
 
   std::vector<asn::Asn> ases_;  // sorted
   std::vector<std::uint32_t> transit_degree_;
@@ -108,9 +167,11 @@ class ObservedPaths {
 
   std::unordered_map<AsLink, LinkInfo> links_;
   std::vector<AsLink> link_order_;
+  std::vector<LinkEnds> link_ends_;
+  std::vector<LinkInfo> link_info_;
 
   std::vector<asn::Asn> vp_asns_;
-  std::vector<std::unordered_map<asn::Asn, std::uint32_t>> first_hop_;
+  std::vector<std::vector<FirstHop>> first_hops_;
   std::vector<std::uint32_t> origins_per_vp_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -16,7 +14,6 @@ namespace asrel::infer {
 namespace {
 
 using asn::Asn;
-using val::AsLink;
 
 /// Feature value counts per feature family (categorical naive Bayes).
 struct FeatureSpec {
@@ -67,126 +64,94 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
 
   // Current labels, indexed like link_order.
   std::vector<InferredRel> current(link_count);
-  std::unordered_map<AsLink, std::uint32_t> link_index;
-  link_index.reserve(link_count);
   for (std::size_t i = 0; i < link_count; ++i) {
-    link_index.emplace(links[i], static_cast<std::uint32_t>(i));
     const auto* rel = initial.inference.find(links[i]);
     current[i] = rel != nullptr ? *rel : InferredRel{};
   }
 
   // ---- Static features -----------------------------------------------------
-  std::unordered_set<Asn> clique_set(initial.clique.begin(),
-                                     initial.clique.end());
+  std::vector<bool> clique_set(observed.as_count(), false);
+  for (const Asn member : initial.clique) {
+    if (const auto index = observed.index_of(member)) clique_set[*index] = true;
+  }
 
   // Distance to clique and position statistics, one path sweep.
   std::vector<int> clique_distance(link_count, 3);  // 3 == "3+/none"
   std::vector<std::uint32_t> end_occurrences(link_count, 0);
-  std::vector<std::uint32_t> total_occurrences(link_count, 0);
-
-  // Triplet-context adjacency: for every (predecessor link, this link,
-  // orientation) pair, how often it occurs. Orientation 0 = traversed a->b.
-  struct AdjKey {
-    std::uint32_t prev;
-    std::uint32_t cur;
-    std::uint8_t prev_forward;  // predecessor traversed in canonical order?
-    std::uint8_t cur_forward;
-    bool operator==(const AdjKey&) const = default;
-  };
-  struct AdjKeyHash {
-    std::size_t operator()(const AdjKey& k) const {
-      std::uint64_t x = (std::uint64_t{k.prev} << 32) | k.cur;
-      x ^= (std::uint64_t{k.prev_forward} << 1 | k.cur_forward) << 62;
-      x *= 0x9E3779B97F4A7C15ull;
-      return static_cast<std::size_t>(x ^ (x >> 32));
-    }
-  };
-  std::unordered_map<AdjKey, std::uint32_t, AdjKeyHash> adjacency;
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
-    const auto path = observed.path(p);
+    const auto hops = observed.hops(p);
     int last_clique = -1;
-    std::uint32_t prev_id = ~std::uint32_t{0};
-    std::uint8_t prev_forward = 0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      if (clique_set.contains(path[i])) last_clique = static_cast<int>(i);
-      const AsLink link{path[i], path[i + 1]};
-      const auto it = link_index.find(link);
-      if (it == link_index.end()) continue;
-      const std::uint32_t id = it->second;
-      const std::uint8_t forward = path[i] == link.a ? 1 : 0;
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      const std::uint32_t hop = hops[i];
+      if (clique_set[observed.hop_from(hop)]) {
+        last_clique = static_cast<int>(i);
+      }
+      const std::uint32_t id = ObservedPaths::hop_link(hop);
 
-      ++total_occurrences[id];
-      if (i + 2 == path.size()) ++end_occurrences[id];
+      if (i + 1 == hops.size()) ++end_occurrences[id];
       const int distance =
           last_clique < 0 ? 3
                           : std::min(3, static_cast<int>(i) - last_clique);
       clique_distance[id] = std::min(clique_distance[id], distance);
-
-      if (prev_id != ~std::uint32_t{0}) {
-        ++adjacency[AdjKey{prev_id, id, prev_forward, forward}];
-      }
-      prev_id = id;
-      prev_forward = forward;
     }
   }
-
-  // Flattened adjacency for the per-round refresh: contiguous slices chunk
-  // across workers, and because the per-(link, orientation) tallies are
-  // plain integer sums, no chunking choice can change the totals.
-  const std::vector<std::pair<AdjKey, std::uint32_t>> adjacency_flat(
-      adjacency.begin(), adjacency.end());
 
   // Assemble static feature parts.
   std::vector<LinkFeatures> features(link_count);
   for (std::size_t i = 0; i < link_count; ++i) {
-    const auto& link = links[i];
-    const auto* info = observed.link(link);
+    const auto id = static_cast<std::uint32_t>(i);
+    const LinkEnds& ends = observed.link_ends(id);
     features[i].value[1] = clique_distance[i];
-    features[i].value[2] = bucket_visibility(info ? info->vp_count : 0);
-    const auto ia = observed.index_of(link.a);
-    const auto ib = observed.index_of(link.b);
-    features[i].value[3] =
-        bucket_ratio(ia ? observed.transit_degree(*ia) : 0,
-                     ib ? observed.transit_degree(*ib) : 0);
+    features[i].value[2] = bucket_visibility(observed.link_info(id).vp_count);
+    features[i].value[3] = bucket_ratio(observed.transit_degree(ends.a),
+                                        observed.transit_degree(ends.b));
+    const std::uint32_t occurrences = observed.link_info(id).occurrences;
     const double end_share =
-        total_occurrences[i] == 0
+        occurrences == 0
             ? 0.0
-            : static_cast<double>(end_occurrences[i]) / total_occurrences[i];
+            : static_cast<double>(end_occurrences[i]) / occurrences;
     features[i].value[4] = end_share > 0.8 ? 0 : end_share > 0.2 ? 1 : 2;
   }
 
-  // Dynamic feature 0 (triplet context) from the current labeling.
+  // Dynamic feature 0 (triplet context) from the current labeling: per
+  // (link, orientation), how often each predecessor category precedes it
+  // on a path. Orientation 1 = traversed a->b, i.e. a forward hop entry.
   using TripletCounts =
       std::vector<std::array<std::array<std::uint32_t, 4>, 2>>;
+  std::vector<std::uint8_t> category(2 * link_count);
   const auto refresh_triplet_feature = [&] {
-    // Per (link, orientation): counts of predecessor categories, summed
-    // over adjacency chunks (one per worker; integer sums are merge-order
-    // independent, so the result matches the serial accumulation exactly).
-    const std::size_t chunks = std::max<std::size_t>(
-        1, std::min<std::size_t>(threads, adjacency_flat.size()));
+    // The category a hop entry gives the hop after it, from the current
+    // label of its link and its direction of travel.
+    for (std::uint32_t hop = 0; hop < category.size(); ++hop) {
+      const auto& link = links[ObservedPaths::hop_link(hop)];
+      const auto& rel = current[ObservedPaths::hop_link(hop)];
+      const Asn from = ObservedPaths::hop_forward(hop) ? link.a : link.b;
+      Pred pred = kPredPeer;
+      if (rel.rel == topo::RelType::kP2C) {
+        pred = rel.provider == from ? kPredDown : kPredUp;
+      }
+      category[hop] = static_cast<std::uint8_t>(pred);
+    }
+    // Path ranges chunk across workers; integer sums are merge-order
+    // independent, so the result matches the serial accumulation exactly.
+    const std::size_t paths = observed.path_count();
+    const std::size_t chunks =
+        std::max<std::size_t>(1, std::min<std::size_t>(threads, paths));
     const TripletCounts counts = core::parallel_reduce_ordered(
         pool, chunks, threads,
         TripletCounts(link_count, {{{0, 0, 0, 0}, {0, 0, 0, 0}}}),
         [&](std::size_t chunk) {
           obs::TraceSpan span{"infer.problink.triplet_chunk"};
           TripletCounts local(link_count, {{{0, 0, 0, 0}, {0, 0, 0, 0}}});
-          const std::size_t begin = chunk * adjacency_flat.size() / chunks;
-          const std::size_t end =
-              (chunk + 1) * adjacency_flat.size() / chunks;
-          for (std::size_t k = begin; k < end; ++k) {
-            const auto& [key, count] = adjacency_flat[k];
-            const auto& prev_link = links[key.prev];
-            const auto& prev_rel = current[key.prev];
-            // Direction of travel across the predecessor: from x to y where
-            // the pair (x, y) is (a, b) if prev_forward, else (b, a).
-            const Asn from = key.prev_forward ? prev_link.a : prev_link.b;
-            Pred category = kPredPeer;
-            if (prev_rel.rel == topo::RelType::kP2C) {
-              category = prev_rel.provider == from ? kPredDown : kPredUp;
+          for (std::size_t p = chunk * paths / chunks;
+               p < (chunk + 1) * paths / chunks; ++p) {
+            const auto hops = observed.hops(p);
+            for (std::size_t i = 1; i < hops.size(); ++i) {
+              ++local[ObservedPaths::hop_link(hops[i])]
+                     [ObservedPaths::hop_forward(hops[i]) ? 1 : 0]
+                     [category[hops[i - 1]]];
             }
-            local[key.cur][key.cur_forward][static_cast<int>(category)] +=
-                count;
           }
           return local;
         },
@@ -217,12 +182,12 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
   // ---- Training labels ------------------------------------------------------
   std::vector<std::pair<std::uint32_t, LinkClass>> train;
   for (const auto& label : training) {
-    const auto it = link_index.find(label.link);
-    if (it == link_index.end()) continue;
+    const auto* info = observed.link(label.link);
+    if (info == nullptr) continue;
     InferredRel rel;
     rel.rel = label.rel;
     rel.provider = label.provider;
-    train.emplace_back(it->second, link_class_of(label.link, rel));
+    train.emplace_back(info->link_id, link_class_of(label.link, rel));
   }
   result.training_links = train.size();
 

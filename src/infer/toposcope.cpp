@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/parallel.hpp"
 #include "infer/link_class.hpp"
@@ -111,26 +110,22 @@ TopoScopeResult run_toposcope(const ObservedPaths& observed,
       }
     }
     const auto* global_rel = global.inference.find(links[i]);
-    const auto* info = observed.link(links[i]);
-    features[i] = {bucket_votes(ab), bucket_votes(ba), bucket_votes(pp),
-                   global_rel ? link_class_of(links[i], *global_rel)
-                              : kLinkP2P,
-                   bucket_visibility(info ? info->vp_count : 0)};
+    features[i] = {
+        bucket_votes(ab), bucket_votes(ba), bucket_votes(pp),
+        global_rel ? link_class_of(links[i], *global_rel) : kLinkP2P,
+        bucket_visibility(
+            observed.link_info(static_cast<std::uint32_t>(i)).vp_count)};
   });
 
   // ---- Ensemble: naive Bayes trained on the validation data -----------------
-  std::unordered_map<AsLink, std::uint32_t> link_index;
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    link_index.emplace(links[i], static_cast<std::uint32_t>(i));
-  }
   std::vector<std::pair<std::uint32_t, LinkClass>> train;
   for (const auto& label : training) {
-    const auto it = link_index.find(label.link);
-    if (it == link_index.end()) continue;
+    const auto* info = observed.link(label.link);
+    if (info == nullptr) continue;
     InferredRel rel;
     rel.rel = label.rel;
     rel.provider = label.provider;
-    train.emplace_back(it->second, link_class_of(label.link, rel));
+    train.emplace_back(info->link_id, link_class_of(label.link, rel));
   }
   result.training_links = train.size();
 

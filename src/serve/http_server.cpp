@@ -258,10 +258,26 @@ DrainReport HttpServer::drain() {
   obs::log_event(drain_begin_site, obs::LogLevel::kInfo, 0,
                  {{"deadline_ms", options_.drain_deadline_ms}});
 
-  // Phase 1: stop admitting. Shutting down the listen socket pops the
-  // acceptor out of accept(); joining it here means no new connection can
-  // race into the queue after this point.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  // Phase 1: stop admitting. Connections whose handshake the kernel has
+  // already completed wait in the listen backlog, and shutting the listener
+  // down would reset them; the acceptor, stopping too, may not get to them
+  // first. Take them off the backlog without blocking and queue them like
+  // any accepted connection: served if a loop or worker frees up within the
+  // grace period, shed with a 503 in phase 3 otherwise. Shutting down the
+  // listen socket then pops the acceptor out of accept(); joining it here
+  // means no new connection can race into the queue after this point.
+  if (listen_fd_ >= 0) {
+    ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        enqueue_accepted(fd);
+      } else if (errno != EINTR && errno != ECONNABORTED) {
+        break;  // EAGAIN: the backlog is empty
+      }
+    }
+    ::shutdown(listen_fd_, SHUT_RDWR);
+  }
   if (acceptor_.joinable()) acceptor_.join();
   queue_cv_.notify_all();
   wake_loops();
@@ -406,25 +422,29 @@ void HttpServer::accept_loop() {
       }
       break;  // listen socket is gone; stop() handles the rest
     }
-    accepted_->inc();
-    bool rejected = false;
-    {
-      std::lock_guard<std::mutex> lock{queue_mutex_};
-      if (pending_.size() >= options_.max_pending_connections) {
-        rejected = true;
-      } else {
-        // The sequence is assigned under the queue lock but only ever
-        // written by this (single) acceptor thread; it seeds the
-        // connection's deterministic request-id stream.
-        pending_.push_back(PendingConn{fd, connection_sequence_++});
-      }
-    }
-    if (rejected) {
-      shed_connection(fd);
+    enqueue_accepted(fd);
+  }
+}
+
+void HttpServer::enqueue_accepted(int fd) {
+  accepted_->inc();
+  bool rejected = false;
+  {
+    std::lock_guard<std::mutex> lock{queue_mutex_};
+    if (pending_.size() >= options_.max_pending_connections) {
+      rejected = true;
     } else {
-      queue_cv_.notify_one();  // thread-pool workers
-      wake_loops();            // epoll loops (no-op for the pool model)
+      // The sequence is assigned under the queue lock by the acceptor (or
+      // by drain() emptying the backlog); it seeds the connection's
+      // deterministic request-id stream.
+      pending_.push_back(PendingConn{fd, connection_sequence_++});
     }
+  }
+  if (rejected) {
+    shed_connection(fd);
+  } else {
+    queue_cv_.notify_one();  // thread-pool workers
+    wake_loops();            // epoll loops (no-op for the pool model)
   }
 }
 

@@ -201,6 +201,9 @@ class HttpServer {
 
  private:
   void accept_loop();
+  /// Queues an accepted connection for the workers or loops, or sheds it
+  /// with a 503 when the queue is full.
+  void enqueue_accepted(int fd);
   void worker_loop();
   void serve_connection(int fd, std::uint64_t connection_sequence);
   // ---- epoll front end (serve/epoll_server.cpp) ----
@@ -250,7 +253,7 @@ class HttpServer {
     std::uint64_t sequence = 0;
   };
   std::deque<PendingConn> pending_;
-  std::uint64_t connection_sequence_ = 0;  ///< acceptor thread only
+  std::uint64_t connection_sequence_ = 0;  ///< guarded by queue_mutex_
 
   mutable std::mutex active_mutex_;
   std::unordered_set<int> active_fds_;

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "bgp/propagation.hpp"
+#include "bgp/vantage.hpp"
 #include "infer/asrank.hpp"
 #include "infer/clique.hpp"
 #include "infer/gao.hpp"
@@ -92,6 +98,330 @@ TEST(ObservedPaths, FirstHopCoverage) {
   EXPECT_EQ(observed.first_hop_count(0, Asn{2}), 3u);
   EXPECT_EQ(observed.origin_count(0), 3u);  // after sanitization
   EXPECT_EQ(observed.first_hop_count(1, Asn{2}), 1u);
+}
+
+// ---------------------------------------------------- dense ids (hop arena) --
+
+/// The micro-world seen from every AS as a full-feed vantage point.
+bgp::PathTable micro_table() {
+  const test::MicroWorld mw = test::micro_world();
+  bgp::PropagationParams params;
+  params.threads = 1;
+  const bgp::Propagator propagator{mw.world, params};
+  std::vector<bgp::VantagePoint> vps;
+  for (const Asn asn : mw.world.graph.nodes()) vps.push_back({asn, true, false});
+  return bgp::collect_paths(propagator, std::move(vps));
+}
+
+/// Paths of an `as_count`-AS world; world, VP and propagation seeds follow
+/// `seed`.
+bgp::PathTable world_table(std::size_t as_count, std::uint64_t seed) {
+  topo::TopologyParams topo_params;
+  topo_params.as_count = as_count;
+  topo_params.seed = seed;
+  const topo::World world = topo::generate(topo_params);
+  bgp::VantageParams vantage_params;
+  vantage_params.seed = seed;
+  vantage_params.target_count = 40;
+  bgp::PropagationParams prop_params;
+  prop_params.threads = 2;
+  const bgp::Propagator propagator{world, prop_params};
+  return bgp::collect_paths(propagator,
+                            bgp::select_vantage_points(world, vantage_params));
+}
+
+const ObservedPaths& observed_800() {
+  static const ObservedPaths observed =
+      ObservedPaths::build(world_table(800, 42), nullptr);
+  return observed;
+}
+
+void expect_hops_match_paths(const ObservedPaths& observed) {
+  const auto links = observed.link_order();
+  ASSERT_EQ(links.size(), observed.link_count());
+  std::uint32_t next_new_id = 0;
+  for (std::size_t p = 0; p < observed.path_count(); ++p) {
+    const auto path = observed.path(p);
+    const auto hops = observed.hops(p);
+    ASSERT_FALSE(path.empty());
+    ASSERT_EQ(hops.size(), path.size() - 1) << "path " << p;
+    for (std::size_t k = 0; k < hops.size(); ++k) {
+      const std::uint32_t id = ObservedPaths::hop_link(hops[k]);
+      ASSERT_LT(id, links.size());
+      // First-seen order: a hop names an existing link or the next new id.
+      ASSERT_LE(id, next_new_id) << "path " << p << " hop " << k;
+      if (id == next_new_id) ++next_new_id;
+      const AsLink link{path[k], path[k + 1]};
+      EXPECT_EQ(links[id], link) << "path " << p << " hop " << k;
+      EXPECT_EQ(ObservedPaths::hop_forward(hops[k]), path[k] == link.a);
+      EXPECT_EQ(observed.asn_at(observed.hop_from(hops[k])), path[k]);
+      EXPECT_EQ(observed.asn_at(observed.hop_to(hops[k])), path[k + 1]);
+    }
+  }
+  EXPECT_EQ(next_new_id, links.size());
+  for (std::uint32_t id = 0; id < links.size(); ++id) {
+    const LinkEnds& ends = observed.link_ends(id);
+    EXPECT_EQ(observed.asn_at(ends.a), links[id].a);
+    EXPECT_EQ(observed.asn_at(ends.b), links[id].b);
+    const auto* info = observed.link(links[id]);
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->link_id, id);
+    EXPECT_EQ(observed.link_info(id).occurrences, info->occurrences);
+    EXPECT_EQ(observed.link_info(id).vp_count, info->vp_count);
+  }
+}
+
+/// Node and transit degrees recomputed from path() with neighbor sets.
+void expect_degrees_match_sets(const ObservedPaths& observed) {
+  std::map<Asn, std::set<Asn>> neighbors;
+  std::map<Asn, std::set<Asn>> transit;
+  std::map<AsLink, std::set<std::uint16_t>> vps;
+  std::map<AsLink, std::uint32_t> occurrences;
+  for (std::size_t p = 0; p < observed.path_count(); ++p) {
+    const auto path = observed.path(p);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      neighbors[path[i]].insert(path[i + 1]);
+      neighbors[path[i + 1]].insert(path[i]);
+      if (i + 2 < path.size()) {
+        transit[path[i + 1]].insert(path[i]);
+        transit[path[i + 1]].insert(path[i + 2]);
+      }
+      const AsLink link{path[i], path[i + 1]};
+      vps[link].insert(observed.vp_of_path(p));
+      ++occurrences[link];
+    }
+  }
+  for (AsIndex i = 0; i < observed.as_count(); ++i) {
+    const Asn asn = observed.asn_at(i);
+    EXPECT_EQ(observed.node_degree(i), neighbors[asn].size()) << asn.value();
+    EXPECT_EQ(observed.transit_degree(i), transit[asn].size()) << asn.value();
+  }
+  for (const AsLink& link : observed.link_order()) {
+    EXPECT_EQ(observed.link(link)->vp_count, vps[link].size());
+    EXPECT_EQ(observed.link(link)->occurrences, occurrences[link]);
+  }
+}
+
+TEST(ObservedPaths, HopArenaMatchesPathsOnTinyTable) {
+  const auto observed = ObservedPaths::build(tiny_table(), nullptr);
+  expect_hops_match_paths(observed);
+  expect_degrees_match_sets(observed);
+}
+
+TEST(ObservedPaths, HopArenaMatchesPathsOnMicroWorld) {
+  const auto observed = ObservedPaths::build(micro_table(), nullptr);
+  ASSERT_GT(observed.path_count(), 100u);
+  expect_hops_match_paths(observed);
+  expect_degrees_match_sets(observed);
+}
+
+TEST(ObservedPaths, HopArenaMatchesPathsOn800AsWorld) {
+  ASSERT_GT(observed_800().link_count(), 1000u);
+  expect_hops_match_paths(observed_800());
+  expect_degrees_match_sets(observed_800());
+}
+
+TEST(ObservedPaths, DropsEmptyPaths) {
+  bgp::PathTable table;
+  table.set_vantage_points({{Asn{1}, true, false}});
+  table.resize_origins(2);
+  table.add_path(0, 0, {});
+  const std::vector<Asn> lone{Asn{1}};
+  table.add_path(1, 0, lone);
+  table.recount();
+  SanitizeStats stats;
+  const auto observed = ObservedPaths::build(table, &stats);
+  EXPECT_EQ(stats.dropped_empty, 1u);
+  EXPECT_EQ(stats.kept, 1u);
+  EXPECT_EQ(observed.path_count(), 1u);
+  EXPECT_TRUE(observed.hops(0).empty());
+  EXPECT_EQ(observed.as_count(), 1u);
+}
+
+// ----------------------------------------------------------------- clique --
+
+/// The clique search as first written: every evidence query re-scans all
+/// paths. infer_clique must agree with it on every input.
+std::vector<Asn> reference_clique(const ObservedPaths& observed,
+                                  const CliqueParams& params) {
+  const auto rank = observed.rank_order();
+  const std::size_t pool = std::min(params.seed_pool, rank.size());
+  if (pool == 0) return {};
+  const auto linked = [&](Asn a, Asn b) {
+    return observed.link(AsLink{a, b}) != nullptr;
+  };
+  // Largest clique among the seed pool, ties to the lexicographically
+  // smallest rank set: every clique is grown in ascending rank order, so
+  // the first one of maximal size found is the smallest.
+  std::vector<std::size_t> best;
+  std::vector<std::size_t> members;
+  const auto grow = [&](const auto& self, std::size_t from) -> void {
+    if (members.size() > best.size()) best = members;
+    for (std::size_t i = from; i < pool; ++i) {
+      if (!std::all_of(members.begin(), members.end(), [&](std::size_t m) {
+            return linked(observed.asn_at(rank[m]), observed.asn_at(rank[i]));
+          })) {
+        continue;
+      }
+      members.push_back(i);
+      self(self, i + 1);
+      members.pop_back();
+    }
+  };
+  grow(grow, 0);
+  std::set<Asn> clique;
+  for (const std::size_t i : best) clique.insert(observed.asn_at(rank[i]));
+
+  const auto evidence = [&](Asn z) {
+    std::uint32_t count = 0;
+    for (std::size_t p = 0; p < observed.path_count(); ++p) {
+      const auto path = observed.path(p);
+      for (std::size_t i = 0; i + 2 < path.size(); ++i) {
+        if (clique.contains(path[i]) && clique.contains(path[i + 1]) &&
+            path[i + 2] == z) {
+          ++count;
+        }
+      }
+    }
+    return count;
+  };
+  const auto purify = [&] {
+    bool removed_any = false;
+    while (clique.size() > 1) {
+      Asn worst;
+      std::uint32_t worst_count = 0;
+      for (const Asn member : clique) {
+        const std::uint32_t count = evidence(member);
+        if (count > worst_count) {
+          worst_count = count;
+          worst = member;
+        }
+      }
+      if (worst_count < 2) break;
+      clique.erase(worst);
+      removed_any = true;
+    }
+    return removed_any;
+  };
+  const std::size_t extension = std::min(params.extension_pool, rank.size());
+  const auto extend = [&] {
+    bool added_any = false;
+    for (std::size_t i = 0; i < extension; ++i) {
+      const Asn candidate = observed.asn_at(rank[i]);
+      if (clique.contains(candidate)) continue;
+      if (!std::all_of(clique.begin(), clique.end(),
+                       [&](Asn member) { return linked(candidate, member); })) {
+        continue;
+      }
+      if (evidence(candidate) >= 2) continue;
+      clique.insert(candidate);
+      added_any = true;
+    }
+    return added_any;
+  };
+  purify();
+  for (int round = 0; round < 4; ++round) {
+    const bool grew = extend();
+    const bool shrank = purify();
+    if (!grew && !shrank) break;
+  }
+  return {clique.begin(), clique.end()};
+}
+
+TEST(Clique, TripletTableMatchesPerQueryScanAcrossSeeds) {
+  for (const std::uint64_t seed : {3, 17, 2021}) {
+    const auto observed = ObservedPaths::build(world_table(600, seed), nullptr);
+    for (const CliqueParams params :
+         {CliqueParams{}, CliqueParams{8, 30}, CliqueParams{12, 5},
+          CliqueParams{30, 120}, CliqueParams{24, 100}}) {
+      EXPECT_EQ(infer_clique(observed, params),
+                reference_clique(observed, params))
+          << "seed " << seed << ", pools " << params.seed_pool << "/"
+          << params.extension_pool;
+    }
+  }
+}
+
+TEST(Clique, TripletTableMatchesPerQueryScanOnSmallInputs) {
+  const CliqueParams seed_pool_larger{10, 3};
+  for (const auto& observed :
+       {ObservedPaths::build(tiny_table(), nullptr),
+        ObservedPaths::build(micro_table(), nullptr)}) {
+    for (const CliqueParams params : {CliqueParams{}, seed_pool_larger}) {
+      EXPECT_EQ(infer_clique(observed, params),
+                reference_clique(observed, params));
+    }
+  }
+}
+
+/// A path table with one VP and the given ASN paths, one origin each.
+bgp::PathTable table_of(
+    std::initializer_list<std::initializer_list<std::uint32_t>> paths) {
+  bgp::PathTable table;
+  table.set_vantage_points({{Asn{1}, true, false}});
+  table.resize_origins(paths.size());
+  topo::NodeId origin = 0;
+  for (const auto& hops : paths) {
+    std::vector<Asn> path;
+    for (const auto value : hops) path.push_back(Asn{value});
+    table.add_path(origin++, 0, path);
+  }
+  table.recount();
+  return table;
+}
+
+TEST(Clique, EvidenceCountsBothOrdersOfAMemberPair) {
+  // 10, 20 and 30 form the seed clique. 40 links to all three but is
+  // transited once through (10, 20) and once through (20, 10): evidence 2,
+  // so it must not join.
+  const auto observed = ObservedPaths::build(
+      table_of({{10, 20, 40}, {20, 10, 40}, {30, 40}, {10, 30}, {20, 30}}),
+      nullptr);
+  const CliqueParams params{3, 4};
+  const std::vector<Asn> expected{Asn{10}, Asn{20}, Asn{30}};
+  EXPECT_EQ(infer_clique(observed, params), expected);
+  EXPECT_EQ(reference_clique(observed, params), expected);
+}
+
+TEST(Clique, PurifyRemovesTheSmallerAsnOnATie) {
+  // 10 and 20 are each transited twice through the other members; 30 never.
+  // The tie purges 10, which leaves 20 without evidence, and 10 cannot
+  // rejoin because (20, 30) and (30, 20) still transit it.
+  const auto observed = ObservedPaths::build(
+      table_of({{20, 30, 10}, {30, 20, 10}, {10, 30, 20}, {30, 10, 20}}),
+      nullptr);
+  const CliqueParams params{3, 3};
+  const std::vector<Asn> expected{Asn{20}, Asn{30}};
+  EXPECT_EQ(infer_clique(observed, params), expected);
+  EXPECT_EQ(reference_clique(observed, params), expected);
+}
+
+TEST(Clique, DegenerateInputs) {
+  // No paths at all: no AS, no clique.
+  bgp::PathTable empty;
+  empty.set_vantage_points({{Asn{1}, true, false}});
+  empty.resize_origins(1);
+  empty.recount();
+  const auto none = ObservedPaths::build(empty, nullptr);
+  EXPECT_TRUE(infer_clique(none, {}).empty());
+  EXPECT_TRUE(run_asrank(none).inference.size() == 0);
+
+  // Only single-AS paths: no links, so the clique is the top-ranked AS.
+  bgp::PathTable lone;
+  lone.set_vantage_points({{Asn{7}, true, false}, {Asn{3}, true, false}});
+  lone.resize_origins(2);
+  const std::vector<Asn> seven{Asn{7}};
+  const std::vector<Asn> three{Asn{3}};
+  lone.add_path(0, 0, seven);
+  lone.add_path(1, 1, three);
+  lone.recount();
+  const auto singles = ObservedPaths::build(lone, nullptr);
+  EXPECT_EQ(singles.link_count(), 0u);
+  for (const CliqueParams params : {CliqueParams{}, CliqueParams{5, 1}}) {
+    const auto clique = infer_clique(singles, params);
+    EXPECT_EQ(clique, reference_clique(singles, params));
+    EXPECT_EQ(clique, std::vector<Asn>{Asn{3}});
+  }
 }
 
 // ----------------------------------------------------------------- clique --
