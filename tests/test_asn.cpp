@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 namespace asrel::asn {
 namespace {
 
@@ -23,10 +26,15 @@ TEST(Asn, HashesDistinctValues) {
   EXPECT_NE(hash(Asn{1}), hash(Asn{2}));
 }
 
+// gtest names each case after this struct's raw bytes. The explicit,
+// zeroed tail fills what would otherwise be padding, so a case's name does
+// not depend on whatever bytes the padding happened to hold.
 struct CategoryCase {
   std::uint32_t value;
   AsnCategory expected;
+  std::array<std::uint8_t, 3> tail{};
 };
+static_assert(sizeof(CategoryCase) == 8, "CategoryCase must have no padding");
 
 class AsnCategoryTest : public ::testing::TestWithParam<CategoryCase> {};
 
